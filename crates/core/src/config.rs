@@ -177,16 +177,19 @@ pub struct DbConfig {
     /// the E10-elr experiment compare durability volume across lock
     /// policies.
     pub lock_poll: bool,
-    /// Instant restart (on-demand redo): the IFA restart stops after
-    /// analysis, reinstall, index redo, undo, and lock recovery — the
-    /// *heap* redo plan is not applied. Instead every heap line with a
-    /// pending redo entry is marked *unrecovered* in the machine, and the
-    /// final image is applied on first forward-path access (charged to the
-    /// accessing transaction's force-wait stage) or by
-    /// [`crate::SmDb::drain_redo`] in GSN order between scheduler steps.
-    /// Time-to-first-transaction then tracks the analysis scan instead of
-    /// the full redo pass. The FA-only baseline and total failures always
-    /// recover eagerly.
+    /// Instant restart (on-demand redo) decides when
+    /// [`crate::SmDb::recover`] returns. Every IFA restart takes the same
+    /// path — analysis, index reinstall and redo, eager index and tag
+    /// undo, lock recovery — and turns its heap writes into a plan of
+    /// final record images. Off, `recover` drains that plan before
+    /// returning. On, it drains only the plan's undo entries and returns
+    /// with the redo entries pending: every heap line with a pending entry
+    /// is marked *unrecovered* in the machine, and its final image is
+    /// applied on first forward-path access (charged to the accessing
+    /// transaction's force-wait stage) or by [`crate::SmDb::drain_redo`]
+    /// between scheduler steps. Time-to-first-transaction then tracks the
+    /// analysis scan instead of the drain. The FA-only baseline and total
+    /// failures run the full restart either way.
     pub instant_restart: bool,
     /// Number of independent shards the simulated machine's coherence
     /// directory and line store are striped into. `1` (the default)
@@ -292,8 +295,8 @@ impl DbConfig {
         self
     }
 
-    /// Enable instant restart (open early after analysis; on-demand +
-    /// background heap redo).
+    /// Enable instant restart (`recover` returns before the heap plan's
+    /// redo entries drain; on-demand + background drain).
     pub fn with_instant_restart(mut self) -> Self {
         self.instant_restart = true;
         self

@@ -14,7 +14,7 @@ use crate::config::{DbConfig, ProtocolKind};
 use crate::error::{req, DbError};
 use crate::oracle::ShadowDb;
 use crate::record::{RecordLayout, NULL_TAG, TAG_SIZE};
-use crate::restart::InstantRedoState;
+use crate::restart::RestartPlan;
 use crate::stats::EngineStats;
 use crate::txn::{TxnOp, TxnState, TxnStatus};
 use bytes::Bytes;
@@ -136,9 +136,10 @@ pub struct SmDb {
     /// violated name. Kept until the transaction is acknowledged or
     /// aborted — recovery's cascade analysis reads the violated names.
     pub(crate) inherited_deps: BTreeMap<TxnId, Vec<InheritedDep>>,
-    /// Deferred heap redo of an instant restart (the plan remainder after
-    /// the early open), drained on demand and in the background.
-    pub(crate) instant: InstantRedoState,
+    /// The heap plan of the current restart: drained inside `recover`, or
+    /// after an instant restart's early open on demand and in the
+    /// background. Empty outside a drain.
+    pub(crate) plan: RestartPlan,
     /// Epoch-parallel lane marker (see [`crate::mt`]). `Some` makes this
     /// engine an execution lane: the set holds every `(txn, lock name)`
     /// pair the deterministic epoch scheduler granted *serially* on the
@@ -247,7 +248,7 @@ impl SmDb {
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
             inherited_deps: BTreeMap::new(),
-            instant: InstantRedoState::default(),
+            plan: RestartPlan::default(),
             mt_granted: None,
         }
     }

@@ -67,6 +67,13 @@ pub enum DbError {
         /// The invariant that was violated.
         what: &'static str,
     },
+    /// A documented precondition of the called API did not hold — for
+    /// example [`crate::SmDb::run_epochs`] on an engine with transactions
+    /// still active. Returned before the call changes anything.
+    Precondition {
+        /// The precondition that was violated.
+        what: &'static str,
+    },
 }
 
 /// `Option` → `Result` sugar for engine invariants:
@@ -139,6 +146,7 @@ impl fmt::Display for DbError {
             DbError::Invariant { what } => {
                 write!(f, "internal invariant violated: {what}")
             }
+            DbError::Precondition { what } => write!(f, "precondition violated: {what}"),
         }
     }
 }

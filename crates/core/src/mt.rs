@@ -53,7 +53,7 @@
 
 use crate::engine::{engine_ctx, SmDb};
 use crate::error::DbError;
-use crate::restart::InstantRedoState;
+use crate::restart::RestartPlan;
 use crate::stats::EngineStats;
 use serde::{Deserialize, Serialize};
 use smdb_btree::TreeCtx;
@@ -253,7 +253,7 @@ impl SmDb {
             pending_commits: Vec::new(),
             violations: ViolationTable::new(),
             inherited_deps: BTreeMap::new(),
-            instant: InstantRedoState::default(),
+            plan: RestartPlan::default(),
             mt_granted: Some(granted),
         }
     }
@@ -281,21 +281,32 @@ impl SmDb {
     /// see the module docs for the argument.
     ///
     /// Requires a quiescent engine (no active transactions, no pending
-    /// recovery) and the serial feature set: no early lock release, no
-    /// instant restart, no pipelined commits. Index workloads are not
-    /// admitted ([`MtOp`] has no index operations).
+    /// recovery, every node up) and the serial feature set: no early lock
+    /// release, no instant-restart drain in progress, no pipelined
+    /// commits; every transaction must name a configured node. Index
+    /// workloads are not admitted ([`MtOp`] has no index operations).
+    /// A violated precondition returns [`DbError::Precondition`] before
+    /// anything runs.
     pub fn run_epochs(&mut self, txns: Vec<MtTxn>, threads: usize) -> Result<MtOutcome, DbError> {
         let threads = threads.max(1);
         let nodes = self.cfg.nodes as usize;
-        assert!(!self.cfg.early_lock_release, "mt excludes early lock release");
-        assert!(!self.instant_active(), "mt excludes instant restart");
-        assert!(self.pending_recovery.is_empty(), "mt requires completed recovery");
-        assert!(self.pending_commits.is_empty(), "mt requires drained commit pipeline");
-        assert!(self.active_txns(None).is_empty(), "mt requires a quiescent engine");
-        assert_eq!(self.m.surviving_nodes().len(), nodes, "mt requires every node up");
-        for t in &txns {
-            assert!((t.node.0 as usize) < nodes, "mt transaction on unknown node");
-        }
+        let require = |ok: bool, what: &'static str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(DbError::Precondition { what })
+            }
+        };
+        require(!self.cfg.early_lock_release, "mt excludes early lock release")?;
+        require(!self.instant_active(), "mt excludes instant restart")?;
+        require(self.pending_recovery.is_empty(), "mt requires completed recovery")?;
+        require(self.pending_commits.is_empty(), "mt requires drained commit pipeline")?;
+        require(self.active_txns(None).is_empty(), "mt requires a quiescent engine")?;
+        require(self.m.surviving_nodes().len() == nodes, "mt requires every node up")?;
+        require(
+            txns.iter().all(|t| (t.node.0 as usize) < nodes),
+            "mt transaction on unknown node",
+        )?;
 
         // Prologue: drain every appender and clear every active LBM mark
         // so no deferred-force obligation crosses into a lane whose owner

@@ -18,6 +18,14 @@
 //! exclusively on crashed nodes, then undo via per-record tags). The
 //! FA-only baseline instead aborts *every* active transaction and performs
 //! a full rebuild — the behaviour the paper's protocols exist to avoid.
+//!
+//! Every IFA restart takes one path: recovery repairs the index and lock
+//! space in place, and turns every heap write (redo, the undo of stolen and
+//! doomed updates, the reinstall of lost lines) into a *plan* of final
+//! record images. [`SmDb::recover`] drains that plan before it returns;
+//! with [`crate::DbConfig::instant_restart`] it drains only the undo
+//! entries and returns, and the rest drains on demand and in the
+//! background.
 
 use crate::config::{ProtocolKind, RestartScheme};
 use crate::engine::{engine_ctx, PendingCommit, SmDb};
@@ -48,8 +56,10 @@ pub const FAULT_RECOVERY_PHASE: &str = "recovery.phase";
 pub const FAULT_REDO_ON_DEMAND: &str = "restart.redo.on_demand";
 
 /// Fault-injection site visited at the start of every non-empty
-/// *background* drain batch ([`SmDb::drain_redo`]). A fire kills the
-/// draining node mid-drain, same contract as [`FAULT_REDO_ON_DEMAND`].
+/// *background* drain batch ([`SmDb::drain_redo`]), and before every
+/// entry of the drain [`SmDb::recover`] runs before returning. A fire
+/// kills the draining node (the recovery node, inside `recover`)
+/// mid-drain, same contract as [`FAULT_REDO_ON_DEMAND`].
 pub const FAULT_REDO_BACKGROUND: &str = "restart.redo.background";
 
 /// What one crash-and-recover episode did.
@@ -66,20 +76,25 @@ pub struct RecoveryOutcome {
     pub preserved_active: Vec<TxnId>,
     /// Cache lines destroyed by the crash.
     pub lost_lines: u64,
-    /// Heap redo operations applied.
+    /// Heap plan entries applied by the drain `recover` runs before
+    /// returning (under instant restart only the undo entries drain
+    /// there). The plan holds final images, so this counts redo writes
+    /// plus the heap undo of stolen and doomed updates folded into it.
     pub redo_applied: u64,
     /// Heap redo candidates skipped because the line was still cached on a
     /// survivor (the Selective-Redo probe).
     pub redo_skipped_cached: u64,
-    /// Heap redo candidates skipped because the stable image already
-    /// reflected the update.
+    /// Heap plan entries the in-`recover` drain retired without a write
+    /// because nothing was cached and the stable image already held them.
     pub redo_skipped_stable: u64,
     /// Heap redo candidates dropped by the plan phase because a later
     /// candidate for the same record superseded them.
     pub redo_superseded: u64,
     /// Index redo operations applied.
     pub index_redo_applied: u64,
-    /// Undo operations applied to cached records.
+    /// Undo operations applied eagerly: tag-driven record undo and index
+    /// undo (heap undo from logged images is a plan entry, counted in
+    /// `redo_applied`).
     pub undo_records_applied: u64,
     /// Stale committed tags cleared during the undo scan.
     pub tags_cleared: u64,
@@ -100,7 +115,8 @@ pub struct RecoveryOutcome {
     pub ckpt_bound_lsn: u64,
     /// Per-phase simulated-cycle and wall-clock spans of the IFA restart
     /// (empty for the FA-only full restart, which is a single monolithic
-    /// rebuild pass).
+    /// rebuild pass). The plan drain `recover` runs before returning is
+    /// timed into the `redo` entry, so the seven entries cover it.
     pub phases: Vec<PhaseTiming>,
 }
 
@@ -124,27 +140,34 @@ fn phase_histogram(phase: &str) -> &'static str {
 struct HeapRedo {
     gsn: u64,
     rec: RecId,
-    /// The cache line holding `rec` (precomputed during analysis so the
-    /// parallel plan phase is pure computation over owned data).
+    /// The cache line holding `rec` (precomputed during analysis).
     line: LineId,
     txn: TxnId,
     image: bytes::Bytes,
 }
 
-/// One deferred heap redo write of an instant restart: the final on-page
-/// bytes (tag + payload) for one record, precomputed by the recovery pass
-/// and applied on first forward-path access or by the background drain.
+/// One heap write of the restart plan: the final on-page bytes (tag +
+/// payload) for one record, precomputed by the recovery pass and applied
+/// by the drain — inside `recover`, or after an instant restart's early
+/// open on first forward-path access or by the background drain.
 struct PendingRedo {
     rec: RecId,
     line: LineId,
     bytes: Vec<u8>,
+    /// The node the in-`recover` drain performs (and charges) the write
+    /// on: the update's home node if it survived (§4.1.2), else the
+    /// recovery node. Forward-path retires act as the accessing node.
+    actor: NodeId,
 }
 
-/// Instant-restart redo-work counters. Cumulative over the engine's
-/// lifetime, like metrics ([`SmDb::instant_redo_counters`]).
+/// Instant-restart redo-work counters: entries retired *after* an early
+/// open. Entries the in-`recover` drain retires count in
+/// [`RecoveryOutcome`] instead. Cumulative over the engine's lifetime,
+/// like metrics ([`SmDb::instant_redo_counters`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InstantRedoCounters {
-    /// Heap redo entries deferred past open points (plan sizes summed).
+    /// Heap plan entries left pending at early-open points (plan sizes
+    /// summed).
     pub planned: u64,
     /// Entries applied inline on first forward-path access.
     pub on_demand: u64,
@@ -155,40 +178,41 @@ pub struct InstantRedoCounters {
     pub skipped_stable: u64,
 }
 
-/// Deferred-redo state of an instant restart: the GSN-ordered remainder of
-/// the heap redo plan after the early open. Empty whenever no drain is in
-/// progress.
+/// The heap half of the restart plan every IFA restart builds: final
+/// images (redo entries in GSN order, then the undo entries) plus the lost
+/// lines whose reinstall is deferred. `recover` drains the undo entries,
+/// then — unless instant restart opens first — the rest. Empty whenever
+/// no drain is in progress.
 #[derive(Default)]
-pub(crate) struct InstantRedoState {
-    /// GSN-ordered plan; an entry flips to `None` once retired.
+pub(crate) struct RestartPlan {
+    /// Redo entries, then undo entries; an entry flips to `None` once
+    /// retired.
     entries: Vec<Option<PendingRedo>>,
-    /// Pending entry indexes per cache line (ascending, hence GSN order).
+    /// Pending entry indexes per cache line (ascending: plan order).
     by_line: BTreeMap<LineId, Vec<usize>>,
     /// Background-drain cursor: every entry below it is retired.
     cursor: usize,
     /// Entries not yet retired.
     pending: usize,
-    /// Heap lines destroyed by the crash whose reinstall was deferred past
-    /// the open point: installed from stable on first access (or when a
-    /// deferred entry's write faults their page in). A line leaves the set
-    /// the moment it is installed.
+    /// Heap lines destroyed by the crash whose reinstall is deferred:
+    /// installed from stable when an entry's write faults their page in,
+    /// on first forward-path access, or when the drain finishes. A line
+    /// leaves the set the moment it is installed.
     lost_lines: BTreeSet<LineId>,
     /// Node ids whose undo tags a deferred reinstall must scrub: the nodes
-    /// down at plan time. The eager path clears these tags during its
-    /// reinstall-plus-undo passes; the lazy path does it at install time
-    /// for records no pending entry will overwrite anyway.
+    /// down at plan time. Cleared at install time for records no pending
+    /// entry will overwrite anyway.
     scrub_tags: BTreeSet<u16>,
     /// Lifetime counters.
     counters: InstantRedoCounters,
 }
 
-impl InstantRedoState {
-    fn push(&mut self, rec: RecId, line: LineId, bytes: Vec<u8>) {
+impl RestartPlan {
+    fn push(&mut self, rec: RecId, line: LineId, bytes: Vec<u8>, actor: NodeId) {
         let idx = self.entries.len();
-        self.entries.push(Some(PendingRedo { rec, line, bytes }));
+        self.entries.push(Some(PendingRedo { rec, line, bytes, actor }));
         self.by_line.entry(line).or_default().push(idx);
         self.pending += 1;
-        self.counters.planned += 1;
     }
 
     /// Drop the plan (a re-entered recovery re-derives it from the logs).
@@ -214,12 +238,12 @@ impl InstantRedoState {
         self.by_line.keys().copied().collect()
     }
 
-    /// Pending entry indexes for one line, in GSN order.
+    /// Pending entry indexes for one line, in plan order.
     fn line_entries(&self, line: LineId) -> Option<Vec<usize>> {
         self.by_line.get(&line).cloned()
     }
 
-    /// Lowest-GSN pending entry (advances the background cursor).
+    /// First pending entry in plan order (advances the drain cursor).
     fn next_pending(&mut self) -> Option<usize> {
         while self.cursor < self.entries.len() {
             if self.entries[self.cursor].is_some() {
@@ -240,13 +264,9 @@ enum IxRedo {
     Unmark { key: u64 },
 }
 
-/// One undo action for a doomed transaction's effect recorded on a
-/// surviving node's intact log.
-enum DoomedOp {
-    Rec { rec: RecId, before: bytes::Bytes },
-    RemoveKey(u64),
-    UnmarkKey(u64),
-}
+/// One index op to roll back, `(gsn, key, is_delete)`: an insert is undone
+/// by removing the key, a delete by unmarking it.
+type IndexUndo = (u64, u64, bool);
 
 /// A planned restart operation: a reduced heap write or an index op.
 enum PlannedOp {
@@ -264,12 +284,11 @@ struct StableAnalysis {
     /// Committed transactions, from the per-log incremental indexes
     /// (includes commits whose record was reclaimed by truncation).
     committed: BTreeSet<TxnId>,
-    /// Stable-logged updates of *not-committed* transactions of the
-    /// analysed nodes: `(gsn, txn, rec)`.
-    uncommitted_updates: Vec<(u64, TxnId, RecId)>,
-    /// Stable-logged index ops of not-committed transactions:
-    /// `(gsn, txn, key, is_delete)`.
-    uncommitted_index: Vec<(u64, TxnId, u64, bool)>,
+    /// Records with a stable-logged update of a *not-committed*
+    /// transaction of the analysed nodes.
+    uncommitted_recs: BTreeSet<RecId>,
+    /// Stable-logged index ops of not-committed transactions.
+    uncommitted_index: Vec<IndexUndo>,
     /// Last stable heap-update writer per (node, rec).
     last_rec_txn: BTreeMap<(NodeId, RecId), TxnId>,
     /// Last stable index-op writer per (node, key).
@@ -286,9 +305,11 @@ struct StableAnalysis {
     heap_redo: Vec<HeapRedo>,
     /// Index redo candidates past the checkpoint bound, in GSN order.
     index_redo: Vec<(u64, IxRedo)>,
-    /// Doomed transactions' effects on surviving logs (applied in reverse
-    /// GSN order by the undo phase).
-    doomed_ops: Vec<(u64, DoomedOp)>,
+    /// Doomed transactions' heap updates on surviving logs:
+    /// `(gsn, rec, before image)`.
+    doomed_recs: Vec<(u64, RecId, bytes::Bytes)>,
+    /// Doomed transactions' index ops on surviving logs.
+    doomed_index: Vec<IndexUndo>,
     /// Log records visited by the scan.
     scanned_records: u64,
     /// Highest per-node checkpoint LSN bounding the redo scan.
@@ -305,67 +326,39 @@ impl StableAnalysis {
     }
 }
 
-/// Candidate count at which the redo plan fans out to scoped threads;
-/// below it the same partition/reduce runs inline (identical result).
-const PARALLEL_PLAN_THRESHOLD: usize = 64;
-
-/// Number of line-keyed partitions in the redo plan.
-const PLAN_BUCKETS: usize = 8;
-
-/// Reduce one partition of heap redo candidates to the final (highest-GSN)
-/// image per record. Pure computation over owned handles.
-fn reduce_partition(part: Vec<HeapRedo>) -> Vec<HeapRedo> {
-    let mut best: BTreeMap<RecId, HeapRedo> = BTreeMap::new();
-    for c in part {
-        match best.entry(c.rec) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(c);
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                if c.gsn >= o.get().gsn {
-                    o.insert(c);
-                }
-            }
-        }
-    }
-    best.into_values().collect()
-}
-
-/// The parallel redo *plan* phase: partition candidates by cache line,
-/// reduce each partition to one final write per record (superseded
-/// intermediate images are dropped), and merge back into a single
-/// GSN-ordered schedule for the deterministic sequential apply.
-///
-/// Determinism: partitioning is a pure function of the line id, each
-/// partition is reduced independently (records never span partitions, so
-/// the reductions are disjoint), and the merged schedule is re-sorted by
-/// the globally unique GSNs — the result is byte-identical whether the
-/// partitions were reduced on worker threads or inline.
+/// The redo *plan* step: reduce the candidates to one final (highest-GSN)
+/// write per record — superseded intermediate images are dropped — and
+/// return them in GSN order. A pure function of its input.
 ///
 /// Returns the plan and the number of superseded candidates dropped.
 fn plan_heap_redo(candidates: Vec<HeapRedo>) -> (Vec<HeapRedo>, u64) {
     let total = candidates.len();
-    if total <= 1 {
-        return (candidates, 0);
-    }
-    let mut parts: Vec<Vec<HeapRedo>> = (0..PLAN_BUCKETS).map(|_| Vec::new()).collect();
+    let mut best: BTreeMap<RecId, HeapRedo> = BTreeMap::new();
     for c in candidates {
-        let b = (c.line.0 % PLAN_BUCKETS as u64) as usize;
-        parts[b].push(c);
+        if best.get(&c.rec).is_none_or(|b| c.gsn >= b.gsn) {
+            best.insert(c.rec, c);
+        }
     }
-    let reduced: Vec<Vec<HeapRedo>> = if total >= PARALLEL_PLAN_THRESHOLD {
-        std::thread::scope(|s| {
-            let handles: Vec<_> =
-                parts.into_iter().map(|p| s.spawn(move || reduce_partition(p))).collect();
-            handles.into_iter().map(|h| h.join().expect("plan worker panicked")).collect()
-        })
-    } else {
-        parts.into_iter().map(reduce_partition).collect()
-    };
-    let mut plan: Vec<HeapRedo> = reduced.into_iter().flatten().collect();
+    let mut plan: Vec<HeapRedo> = best.into_values().collect();
     plan.sort_by_key(|c| c.gsn);
     let superseded = (total - plan.len()) as u64;
     (plan, superseded)
+}
+
+/// Construct a [`TreeCtx`] for recovery's index operations over the
+/// engine's split-borrowed fields (coalesced forces stay off, unlike
+/// `engine_ctx!`).
+macro_rules! recovery_tree_ctx {
+    ($self:expr) => {
+        TreeCtx::new(
+            &mut $self.m,
+            &mut $self.sdb,
+            &mut $self.logs,
+            &mut $self.plt,
+            $self.cfg.protocol.lbm_mode(),
+            &mut $self.gsn,
+        )
+    };
 }
 
 impl SmDb {
@@ -498,12 +491,12 @@ impl SmDb {
             return Ok(outcome);
         }
         outcome.lost_lines = self.pending_lost_lines;
-        // A new recovery supersedes any in-progress instant drain: the
-        // analysis below re-derives the complete redo plan from the
-        // retained logs (a checkpoint cannot have advanced the bound past
-        // a pending entry — it drains first), so the stale deferred
-        // entries and their coherence marks are dropped wholesale.
-        self.instant.clear_plan();
+        // A new recovery supersedes any in-progress drain: the analysis
+        // below re-derives the complete plan from the retained logs (a
+        // checkpoint cannot have advanced the bound past a pending entry —
+        // it drains first), so the stale entries and their coherence marks
+        // are dropped wholesale.
+        self.plan.clear_plan();
         self.m.clear_all_unrecovered();
         let clock0 = self.m.max_clock();
         // A transaction dies if *any* node it executes on is down — for
@@ -630,16 +623,17 @@ impl SmDb {
         self.pending_recovery.clear();
         self.pending_lost_lines = 0;
         self.pending_total_failure = false;
-        if self.instant.pending() > 0 {
+        if self.plan.pending() > 0 {
             // Instant restart: the database opens *here*, with the heap
-            // redo plan still pending. Mark every affected line so the
+            // plan still pending. Mark every affected line so the
             // coherence layer refuses to migrate or replicate its stale
-            // bytes before the deferred redo applies. The index is fully
+            // bytes before the deferred write applies. The index is fully
             // recovered (index redo is never deferred), but reinstalled
             // heap lines stay stale until the drain completes.
-            for line in self.instant.lines() {
+            for line in self.plan.lines() {
                 self.m.mark_unrecovered(line);
             }
+            self.plan.counters.planned += self.plan.pending() as u64;
             self.m.obs().metrics.add(names::RESTART_OPEN_EARLY_CYCLES, cycles);
             self.stale_tree_pages.clear();
         } else {
@@ -847,7 +841,7 @@ impl SmDb {
                         if is_analysed {
                             a.last_rec_txn.insert((n, *rec), txn);
                             if !committed && !settled_aborted {
-                                a.uncommitted_updates.push((*gsn, txn, *rec));
+                                a.uncommitted_recs.insert(*rec);
                                 a.uncommitted_undo.entry(*rec).or_default().push((
                                     *gsn,
                                     txn,
@@ -855,8 +849,7 @@ impl SmDb {
                                 ));
                             }
                         } else if is_doomed {
-                            a.doomed_ops
-                                .push((*gsn, DoomedOp::Rec { rec: *rec, before: undo.clone() }));
+                            a.doomed_recs.push((*gsn, *rec, undo.clone()));
                         }
                         if committed {
                             let e = a
@@ -881,10 +874,10 @@ impl SmDb {
                         if is_analysed {
                             a.last_key_txn.insert((n, *key), txn);
                             if !committed && !settled_aborted {
-                                a.uncommitted_index.push((*gsn, txn, *key, false));
+                                a.uncommitted_index.push((*gsn, *key, false));
                             }
                         } else if is_doomed {
-                            a.doomed_ops.push((*gsn, DoomedOp::RemoveKey(*key)));
+                            a.doomed_index.push((*gsn, *key, false));
                         }
                         if redo {
                             a.index_redo.push((
@@ -897,10 +890,10 @@ impl SmDb {
                         if is_analysed {
                             a.last_key_txn.insert((n, *key), txn);
                             if !committed && !settled_aborted {
-                                a.uncommitted_index.push((*gsn, txn, *key, true));
+                                a.uncommitted_index.push((*gsn, *key, true));
                             }
                         } else if is_doomed {
-                            a.doomed_ops.push((*gsn, DoomedOp::UnmarkKey(*key)));
+                            a.doomed_index.push((*gsn, *key, true));
                         }
                         if redo {
                             a.index_redo.push((
@@ -990,20 +983,32 @@ impl SmDb {
         analysis: &StableAnalysis,
         outcome: &mut RecoveryOutcome,
     ) -> Result<(), DbError> {
-        let recs: BTreeSet<RecId> =
-            analysis.uncommitted_updates.iter().map(|(_, _, r)| *r).collect();
-        for rec in recs {
+        for &rec in &analysis.uncommitted_recs {
             let value = self.last_committed_payload(analysis, rec)?;
-            let off = self.layout.page_offset(rec.slot);
             let bytes = self.layout.encode(NULL_TAG, &value);
-            let img = self
-                .sdb
-                .peek_page(rec.page)
-                .ok_or(DbError::StablePageMissing { page: rec.page })?;
-            if img[off..off + bytes.len()] != bytes[..] {
-                self.sdb.patch(rec.page, off, &bytes);
-                outcome.stable_undo_patches += 1;
-            }
+            self.patch_stable_image(rec, &bytes, outcome)?;
+        }
+        Ok(())
+    }
+
+    /// Write a record's undone bytes into its stable image, if the image
+    /// differs. Recovery corrects stolen images itself rather than leaving
+    /// them to the next checkpoint flush: the corrected copy lives only in
+    /// a cache until then, and once the transaction is settled as aborted
+    /// no later recovery re-derives its undo — losing that cache would
+    /// resurrect the stolen value.
+    fn patch_stable_image(
+        &mut self,
+        rec: RecId,
+        bytes: &[u8],
+        outcome: &mut RecoveryOutcome,
+    ) -> Result<(), DbError> {
+        let off = self.layout.page_offset(rec.slot);
+        let img =
+            self.sdb.peek_page(rec.page).ok_or(DbError::StablePageMissing { page: rec.page })?;
+        if img[off..off + bytes.len()] != bytes[..] {
+            self.sdb.patch(rec.page, off, bytes);
+            outcome.stable_undo_patches += 1;
         }
         Ok(())
     }
@@ -1022,40 +1027,6 @@ impl SmDb {
         LineId(self.layout.geometry.line_addr(rec.page, line_idx))
     }
 
-    /// Reinstall every heap line destroyed by the crash from its stable
-    /// page image, restoring the per-page all-or-nothing residency
-    /// invariant the buffer manager relies on. Returns the reinstalled
-    /// lines (they carry *stale stable* content, which the redo and undo
-    /// passes treat accordingly).
-    fn normalize_lost_heap_lines(
-        &mut self,
-        recovery_node: NodeId,
-    ) -> Result<BTreeSet<LineId>, DbError> {
-        let mut reinstalled = BTreeSet::new();
-        let g = self.layout.geometry;
-        for p in 0..self.heap_pages {
-            let page = PageId(p);
-            let mut charged = false;
-            // Borrow the stable image once per page; `install_line` only
-            // touches `self.m`, so no copy of the page is needed.
-            let img = self.sdb.peek_page(page).ok_or(DbError::StablePageMissing { page })?;
-            for idx in 0..g.lines_per_page {
-                let line = LineId(g.line_addr(page, idx));
-                if self.m.is_lost(line) {
-                    let off = g.line_offset(idx);
-                    self.m.install_line(recovery_node, line, &img[off..off + g.line_size])?;
-                    if !charged {
-                        let cost = self.m.config().cost.disk_io;
-                        self.m.advance(recovery_node, cost);
-                        charged = true;
-                    }
-                    reinstalled.insert(line);
-                }
-            }
-        }
-        Ok(reinstalled)
-    }
-
     /// All heap lines currently cached on surviving nodes (the §4.1.2
     /// probe, snapshotted at crash time before any reinstall).
     fn cached_heap_lines(&self) -> BTreeSet<LineId> {
@@ -1070,73 +1041,106 @@ impl SmDb {
         set
     }
 
-    /// Expected full on-page bytes (tag + payload) of a record after redo.
-    fn expected_rec_bytes(&self, txn: TxnId, payload: &[u8]) -> Vec<u8> {
-        let tagging = self.cfg.protocol.uses_undo_tags();
+    /// The undo tag a redone write carries: the writer's node while the
+    /// writer is still active on a live node (Selective Redo's tags only),
+    /// else null.
+    fn redo_tag(&self, txn: TxnId) -> u16 {
         let active = self
             .txns
             .get(&txn)
             .map(|t| t.is_active() && !self.m.is_crashed(txn.node()))
             .unwrap_or(false);
-        let tag = if tagging && active { txn.node().0 } else { NULL_TAG };
-        self.layout.encode(tag, payload)
+        if self.cfg.protocol.uses_undo_tags() && active {
+            txn.node().0
+        } else {
+            NULL_TAG
+        }
+    }
+
+    /// Apply one index redo op as `node`; inserts and delete marks carry
+    /// the writer's [`SmDb::redo_tag`] when `tagged`. Returns whether an
+    /// insert or delete mark was (re)applied.
+    fn redo_index_op(&mut self, op: IxRedo, node: NodeId, tagged: bool) -> Result<bool, DbError> {
+        let tag = match &op {
+            IxRedo::Insert { txn, .. } | IxRedo::Delete { txn, .. } if tagged => {
+                self.redo_tag(*txn)
+            }
+            _ => NULL_TAG,
+        };
+        let tree = req(self.tree.as_mut(), "index op implies an index")?;
+        let mut ctx = recovery_tree_ctx!(self);
+        Ok(match op {
+            IxRedo::Insert { key, value, .. } => {
+                tree.redo_insert(&mut ctx, node, key, value, tag)?
+            }
+            IxRedo::Delete { key, value, .. } => {
+                tree.redo_delete_mark(&mut ctx, node, key, value, tag)?
+            }
+            IxRedo::Remove { key } => {
+                tree.undo_insert(&mut ctx, node, key)?;
+                false
+            }
+            IxRedo::Unmark { key } => {
+                tree.undo_delete(&mut ctx, node, key)?;
+                false
+            }
+        })
     }
 
     // ------------------------------------------------------------------
-    // Instant restart: on-demand + background redo
+    // The heap plan: drained in recover, on demand, and in the background
     // ------------------------------------------------------------------
 
     /// Deferred recovery work still pending from an instant restart's
-    /// early open: heap redo entries plus lost lines whose reinstall was
-    /// deferred but have no redo candidate of their own. Zero whenever no
-    /// drain is in progress (including always, without
-    /// [`crate::DbConfig::instant_restart`]). Counting the uninstalled
-    /// lost lines matters when the deferred plan is *empty*: the window
-    /// is not closed until they are resident again, or a raw full-page
-    /// reader (checkpoint flush) trips over a still-lost line.
+    /// early open: heap plan entries plus lost lines whose reinstall was
+    /// deferred but have no entry of their own. Zero whenever no drain is
+    /// in progress — in particular always after a [`SmDb::recover`]
+    /// without [`crate::DbConfig::instant_restart`], which drains the plan
+    /// before returning. Counting the uninstalled lost lines matters when
+    /// the plan is *empty*: the window is not closed until they are
+    /// resident again, or a raw full-page reader (checkpoint flush) trips
+    /// over a still-lost line.
     pub fn redo_pending(&self) -> usize {
-        self.instant.pending() + self.instant.lost_lines.len()
+        self.plan.pending() + self.plan.lost_lines.len()
     }
 
-    /// Lifetime instant-redo counters (entries planned at open points,
-    /// applied on demand, applied by the background drain, retired as
-    /// stable-image skips).
+    /// Lifetime instant-redo counters (entries left pending at open
+    /// points, applied on demand, applied by the background drain,
+    /// retired as stable-image skips).
     pub fn instant_redo_counters(&self) -> InstantRedoCounters {
-        self.instant.counters
+        self.plan.counters
     }
 
     /// Whether an instant restart still has deferred recovery work — plan
     /// entries pending or lost lines awaiting their lazy reinstall. The
     /// forward-path hooks gate on this (one cheap check in steady state).
     pub(crate) fn instant_active(&self) -> bool {
-        self.instant.pending > 0 || !self.instant.lost_lines.is_empty()
+        self.plan.pending > 0 || !self.plan.lost_lines.is_empty()
     }
 
     /// Whether a pending deferred entry holds `rec`'s final bytes.
-    fn instant_covers(&self, rec: RecId) -> bool {
+    fn plan_covers(&self, rec: RecId) -> bool {
         let line = self.rec_line(rec);
-        self.instant.by_line.get(&line).is_some_and(|idxs| {
-            idxs.iter().any(|&i| self.instant.entries[i].as_ref().is_some_and(|e| e.rec == rec))
+        self.plan.by_line.get(&line).is_some_and(|idxs| {
+            idxs.iter().any(|&i| self.plan.entries[i].as_ref().is_some_and(|e| e.rec == rec))
         })
     }
 
-    /// Install the still-lost lines of `page` from its stable image (the
-    /// deferred half of the eager reinstall phase), charging one disk read
-    /// to `node`. Every line with no surviving holder is installed — not
-    /// just flagged-lost ones — restoring the per-page all-or-nothing
-    /// residency the line-0 probe relies on (a write updates the page-LSN
-    /// header too, so the last writer sole-holds the header while data
-    /// lines keep older holders; Redo-All's discard then strips those,
-    /// leaving holder-less lines next to deferred-lost ones). Undo tags of
-    /// nodes down at plan time are scrubbed for records no pending entry
-    /// covers — exactly the tags the eager reinstall-plus-undo passes
-    /// would have cleared. Installed lines are recorded as stale
-    /// reinstalls until the drain completes.
+    /// Install the still-lost lines of `page` from its stable image,
+    /// charging one disk read to `node`. Every line with no surviving
+    /// holder is installed — not just flagged-lost ones — restoring the
+    /// per-page all-or-nothing residency the line-0 probe relies on (a
+    /// write updates the page-LSN header too, so the last writer
+    /// sole-holds the header while data lines keep older holders; Redo-All's
+    /// discard then strips those, leaving holder-less lines next to
+    /// deferred-lost ones). Undo tags of nodes down at plan time are
+    /// scrubbed for records no pending entry covers. Installed lines are
+    /// recorded as stale reinstalls until the drain completes.
     fn install_deferred_lost(&mut self, node: NodeId, page: PageId) -> Result<(), DbError> {
         let g = self.layout.geometry;
         let todo: Vec<(usize, LineId)> = (0..g.lines_per_page)
             .map(|idx| (idx, LineId(g.line_addr(page, idx))))
-            .filter(|(_, l)| self.instant.lost_lines.contains(l) || self.m.holders(*l).is_empty())
+            .filter(|(_, l)| self.plan.lost_lines.contains(l) || self.m.holders(*l).is_empty())
             .collect();
         if todo.is_empty() {
             return Ok(());
@@ -1155,8 +1159,8 @@ impl SmDb {
                 let off = self.layout.page_offset(slot);
                 let tag = u16::from_le_bytes(img[off..off + 2].try_into().expect("tag"));
                 if tag != NULL_TAG
-                    && self.instant.scrub_tags.contains(&tag)
-                    && !self.instant_covers(RecId::new(page, slot))
+                    && self.plan.scrub_tags.contains(&tag)
+                    && !self.plan_covers(RecId::new(page, slot))
                 {
                     img[off..off + 2].copy_from_slice(&NULL_TAG.to_le_bytes());
                 }
@@ -1167,8 +1171,18 @@ impl SmDb {
         for (idx, line) in todo {
             let off = g.line_offset(idx);
             self.m.install_line(node, line, &img[off..off + g.line_size])?;
-            self.instant.lost_lines.remove(&line);
+            self.plan.lost_lines.remove(&line);
             self.stale_heap_lines.insert(line);
+        }
+        Ok(())
+    }
+
+    /// Finish the deferred reinstall once the plan is drained, so every
+    /// lost line is resident again with stale stable tags scrubbed.
+    fn install_remaining_lost(&mut self, node: NodeId) -> Result<(), DbError> {
+        while let Some(&line) = self.plan.lost_lines.iter().next() {
+            let (page, _) = self.layout.geometry.page_of_addr(line.0);
+            self.install_deferred_lost(node, page)?;
         }
         Ok(())
     }
@@ -1191,8 +1205,8 @@ impl SmDb {
         // crash destroyed it (even with the record's own line intact), the
         // page must be installed before any access.
         let deferred_lost =
-            self.instant.lost_lines.contains(&line) || self.instant.lost_lines.contains(&header);
-        if !deferred_lost && !self.instant.by_line.contains_key(&line) {
+            self.plan.lost_lines.contains(&line) || self.plan.lost_lines.contains(&header);
+        if !deferred_lost && !self.plan.by_line.contains_key(&line) {
             return Ok(());
         }
         // Crash point: the accessing node dies before the inline redo.
@@ -1202,10 +1216,19 @@ impl SmDb {
         if deferred_lost {
             self.install_deferred_lost(node, page)?;
         }
-        if let Some(idxs) = self.instant.line_entries(line) {
+        if let Some(idxs) = self.plan.line_entries(line) {
             for idx in idxs {
-                self.apply_pending_entry(idx, node, false)?;
+                let wrote = self.apply_pending_entry(idx, node)?;
+                self.count_open_retire(wrote, false);
             }
+        }
+        Ok(())
+    }
+
+    /// Crash point of a drain: the draining node dies.
+    fn drain_crash_point(&self, node: NodeId) -> Result<(), DbError> {
+        if let Some(c) = self.fault.hit(FAULT_REDO_BACKGROUND, node.0) {
+            return Err(DbError::FaultCrash(c));
         }
         Ok(())
     }
@@ -1224,33 +1247,25 @@ impl SmDb {
         if self.m.is_crashed(node) {
             return Err(DbError::NodeDown { node });
         }
-        // Crash point: the draining node dies at the batch boundary.
-        if let Some(c) = self.fault.hit(FAULT_REDO_BACKGROUND, node.0) {
-            return Err(DbError::FaultCrash(c));
-        }
+        self.drain_crash_point(node)?;
         let mut drained = 0usize;
         while drained < batch {
-            let Some(idx) = self.instant.next_pending() else {
+            let Some(idx) = self.plan.next_pending() else {
                 break;
             };
-            self.apply_pending_entry(idx, node, true)?;
+            let wrote = self.apply_pending_entry(idx, node)?;
+            self.count_open_retire(wrote, true);
             drained += 1;
         }
-        if self.instant.pending == 0 {
-            // Plan drained: finish the deferred reinstall too, so the
-            // fully-drained state matches an eager recovery (every lost
-            // line resident again, stale stable tags scrubbed).
-            while let Some(&line) = self.instant.lost_lines.iter().next() {
-                let (page, _) = self.layout.geometry.page_of_addr(line.0);
-                self.install_deferred_lost(node, page)?;
-            }
+        if self.plan.pending == 0 {
+            self.install_remaining_lost(node)?;
             if self.pending_recovery.is_empty() {
                 self.stale_heap_lines.clear();
                 self.stale_tree_pages.clear();
             }
         }
-        let planned = self.instant.planned_len();
-        let retired = planned - self.instant.pending() as u64;
+        let planned = self.plan.planned_len();
+        let retired = planned - self.plan.pending() as u64;
         let obs = self.m.obs();
         if obs.timeline.is_enabled() {
             obs.timeline.recovery_progress(self.m.max_clock(), 0, retired, planned);
@@ -1258,18 +1273,73 @@ impl SmDb {
         Ok(drained)
     }
 
-    /// Retire one pending entry: perform the same write the eager phase-4
-    /// redo would have performed, and lift the line's coherence mark once
-    /// its last entry retires. On failure the entry and the mark are
-    /// restored, so an injected crash mid-apply loses nothing.
-    fn apply_pending_entry(
+    /// The drain [`SmDb::ifa_restart`] runs before it settles the
+    /// transaction table: retire the plan's `entries` range in order, and
+    /// once no entry is pending finish the deferred reinstall.
+    /// Each entry is written by (and charged to) its planned actor, which
+    /// also faults its page in; the lost lines no entry touched are
+    /// reinstalled by the recovery node. Applied and skipped entries count
+    /// in the outcome — not in the instant-restart counters — and the
+    /// drain is timed into the outcome's `redo` phase.
+    fn drain_plan(
         &mut self,
-        idx: usize,
-        actor: NodeId,
-        background: bool,
+        outcome: &mut RecoveryOutcome,
+        recovery_node: NodeId,
+        entries: std::ops::Range<usize>,
     ) -> Result<(), DbError> {
-        let Some(entry) = self.instant.entries[idx].as_ref() else {
-            return Ok(());
+        let span = PhaseSpan::begin("redo", self.m.max_clock());
+        for idx in entries {
+            let Some(entry) = self.plan.entries[idx].as_ref() else {
+                continue;
+            };
+            let actor = entry.actor;
+            // Crash point: the recovery node dies partway through.
+            self.drain_crash_point(recovery_node)?;
+            if self.apply_pending_entry(idx, actor)? {
+                outcome.redo_applied += 1;
+            } else {
+                outcome.redo_skipped_stable += 1;
+            }
+        }
+        if self.plan.pending == 0 {
+            self.install_remaining_lost(recovery_node)?;
+        }
+        let t = span.end(self.m.max_clock());
+        if let Some(redo) = outcome.phases.iter_mut().find(|p| p.phase == t.phase) {
+            redo.sim_cycles += t.sim_cycles;
+            redo.wall_ns += t.wall_ns;
+        }
+        Ok(())
+    }
+
+    /// Count one entry retired after an early open (on demand or by the
+    /// background drain).
+    fn count_open_retire(&mut self, wrote: bool, background: bool) {
+        let obs = self.m.obs();
+        if wrote {
+            obs.metrics.inc(names::RESTART_REDO_APPLIED);
+            if background {
+                obs.metrics.inc(names::RESTART_REDO_BACKGROUND);
+                self.plan.counters.background += 1;
+            } else {
+                obs.metrics.inc(names::RESTART_REDO_ON_DEMAND);
+                self.plan.counters.on_demand += 1;
+            }
+        } else {
+            obs.metrics.inc(names::RESTART_REDO_SKIPPED);
+            self.plan.counters.skipped_stable += 1;
+        }
+    }
+
+    /// Retire one pending entry: write its final bytes as `actor`
+    /// (installing a deferred-lost page first), and lift the line's
+    /// coherence mark once its last entry retires. Returns
+    /// whether a write happened (false: skipped, the stable image already
+    /// held the bytes). On failure the entry and the mark are restored,
+    /// so an injected crash mid-apply loses nothing.
+    fn apply_pending_entry(&mut self, idx: usize, actor: NodeId) -> Result<bool, DbError> {
+        let Some(entry) = self.plan.entries[idx].as_ref() else {
+            return Ok(false);
         };
         let (rec, line) = (entry.rec, entry.line);
         let bytes = entry.bytes.clone();
@@ -1283,9 +1353,9 @@ impl SmDb {
                 return Err(e);
             }
         };
-        self.instant.entries[idx] = None;
-        self.instant.pending -= 1;
-        let line_done = match self.instant.by_line.get_mut(&line) {
+        self.plan.entries[idx] = None;
+        self.plan.pending -= 1;
+        let line_done = match self.plan.by_line.get_mut(&line) {
             Some(list) => {
                 list.retain(|&i| i != idx);
                 list.is_empty()
@@ -1293,25 +1363,11 @@ impl SmDb {
             None => true,
         };
         if line_done {
-            self.instant.by_line.remove(&line);
+            self.plan.by_line.remove(&line);
         } else {
             self.m.mark_unrecovered(line);
         }
-        let obs = self.m.obs();
-        if wrote {
-            obs.metrics.inc(names::RESTART_REDO_APPLIED);
-            if background {
-                obs.metrics.inc(names::RESTART_REDO_BACKGROUND);
-                self.instant.counters.background += 1;
-            } else {
-                obs.metrics.inc(names::RESTART_REDO_ON_DEMAND);
-                self.instant.counters.on_demand += 1;
-            }
-        } else {
-            obs.metrics.inc(names::RESTART_REDO_SKIPPED);
-            self.instant.counters.skipped_stable += 1;
-        }
-        if self.instant.pending == 0 && self.pending_recovery.is_empty() {
+        if self.plan.pending == 0 && self.pending_recovery.is_empty() {
             // Drain complete: every reinstalled heap line has its redo
             // applied; contents are authoritative again. (With a crash
             // pending, the stale knowledge is instead carried into the
@@ -1319,15 +1375,19 @@ impl SmDb {
             self.stale_heap_lines.clear();
             self.stale_tree_pages.clear();
         }
-        Ok(())
+        Ok(wrote)
     }
 
-    /// The deferred write itself: skip when nothing is cached and the
-    /// stable image already reflects the entry; otherwise write through
-    /// the coherent store — faulting the page in marks its lines stale,
-    /// exactly like the eager pass — and leave the page dirty for the
-    /// next checkpoint (zero-LSN entry: dirty, no force requirement; the
-    /// redo source record is already stable).
+    /// The plan write itself: skip when nothing is cached and the stable
+    /// image already reflects the entry; otherwise write through the
+    /// coherent store — faulting the page in marks its lines stale — and
+    /// leave the page dirty for the next checkpoint (zero-LSN entry:
+    /// dirty, no force requirement; the source log record is already
+    /// stable). The dirty mark matters: the crash cleared the crashed
+    /// node's WAL-table entries (§6), and `ctx.write` does not restore
+    /// them, so an unmarked redone page would look clean to the next
+    /// checkpoint, which would advance the redo bound *without flushing
+    /// it*. (Found by the schedule fuzzer.)
     fn write_pending_bytes(
         &mut self,
         actor: NodeId,
@@ -1363,6 +1423,11 @@ impl SmDb {
     // IFA restart recovery
     // ------------------------------------------------------------------
 
+    /// The single IFA restart path: analysis, index reinstall and redo,
+    /// eager undo of index effects and tags, lock-space recovery, and a
+    /// heap *plan* of final record images. The plan is drained here;
+    /// with [`crate::DbConfig::instant_restart`] only its undo entries
+    /// are, and `recover` opens the database with the redo pending.
     fn ifa_restart(
         &mut self,
         outcome: &mut RecoveryOutcome,
@@ -1381,12 +1446,6 @@ impl SmDb {
         let down: Vec<NodeId> = self.m.node_ids().filter(|n| self.m.is_crashed(*n)).collect();
         let crashed_set: BTreeSet<NodeId> = down.iter().copied().collect();
         let scheme = self.cfg.protocol.restart_scheme();
-        // Instant restart defers every per-record heap write — stable-undo
-        // patches, lost-line reinstall, Redo-All's cache discard, redo, and
-        // undo — past the open point as plan entries and lazily-installed
-        // lines, so the stop-the-world window shrinks to the analysis scan
-        // plus index recovery.
-        let instant = self.cfg.instant_restart;
         // Snapshot which heap lines genuinely survive in caches *before*
         // any reinstall: this is the Selective-Redo probe (a line we later
         // reinstall from a stale stable image must not be mistaken for a
@@ -1411,47 +1470,30 @@ impl SmDb {
         outcome.scan_records = analysis.scanned_records;
         outcome.ckpt_bound_lsn = analysis.ckpt_bound;
         self.charge_analysis_scan(recovery_node, analysis.scanned_records);
-        if !instant {
-            // Instant restart folds the stolen-update undo into the
-            // deferred plan (phase 5 pushes the last-committed bytes as
-            // entries); the coherent apply dirties the page, so the next
-            // checkpoint — which drains the plan first — writes the
-            // corrected image back. Until then the stolen trace stays in
-            // the retained stable logs, which is exactly what a re-entered
-            // recovery re-derives the plan from.
-            self.patch_stable_undo(&analysis, outcome)?;
-        }
+        self.patch_stable_undo(&analysis, outcome)?;
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
 
-        // Phase 2 ("reinstall"): reinstall heap lines destroyed by the
-        // crash from the (just-patched) stable images, restoring page
-        // residency invariants, then the index's structural skeleton.
+        // Phase 2 ("reinstall"): the heap lines destroyed by the crash are
+        // recorded for a deferred reinstall — installed from (the
+        // just-patched) stable images when a plan entry's write needs
+        // their page, on first forward-path access, or at the end of the
+        // drain — then the index's structural skeleton is restored.
         let span = self.begin_phase("reinstall");
-        // Seed with the stale reinstalls of any interrupted earlier
-        // attempt: for undo purposes they are reinstalled lines of *this*
-        // restart too.
-        let mut heap_reinstalled: BTreeSet<LineId> = self.stale_heap_lines.clone();
-        if instant {
-            // Defer the heap reinstall: record which lines are lost and
-            // install them from stable on first access (or when a deferred
-            // entry's write needs their page), charging the disk read to
-            // the accessor instead of the stop-the-world window. The tags
-            // of the nodes down *now* are the ones the eager undo passes
-            // would have scrubbed.
-            let g = self.layout.geometry;
-            for p in 0..self.heap_pages {
-                for idx in 0..g.lines_per_page {
-                    let line = LineId(g.line_addr(PageId(p), idx));
-                    if self.m.is_lost(line) {
-                        self.instant.lost_lines.insert(line);
-                    }
+        // The stale reinstalls of any interrupted earlier attempt: for
+        // undo purposes they are reinstalled lines of *this* restart too.
+        let heap_reinstalled: BTreeSet<LineId> = self.stale_heap_lines.clone();
+        let g = self.layout.geometry;
+        for p in 0..self.heap_pages {
+            for idx in 0..g.lines_per_page {
+                let line = LineId(g.line_addr(PageId(p), idx));
+                if self.m.is_lost(line) {
+                    self.plan.lost_lines.insert(line);
                 }
             }
-            self.instant.scrub_tags.extend(down.iter().map(|n| n.0));
-        } else {
-            heap_reinstalled.extend(self.normalize_lost_heap_lines(recovery_node)?);
         }
+        // The reinstall scrubs the tags of the nodes down *now*.
+        self.plan.scrub_tags.extend(down.iter().map(|n| n.0));
 
         // Still in "reinstall": restore the index's structural skeleton
         // (root, allocation map, lost pages) from the forced structural
@@ -1466,7 +1508,6 @@ impl SmDb {
         let mut tree_lost_any = !self.stale_tree_pages.is_empty();
         let mut reinstalled_pages: BTreeSet<PageId> = self.stale_tree_pages.clone();
         if let Some(tree) = self.tree.as_ref() {
-            let g = self.layout.geometry;
             'outer: for page in tree.allocated_pages() {
                 for idx in 0..g.lines_per_page {
                     if self.m.is_lost(LineId(g.line_addr(page, idx))) {
@@ -1477,22 +1518,14 @@ impl SmDb {
             }
         }
         if let Some(tree) = self.tree.as_mut() {
-            let mut ctx = TreeCtx::new(
-                &mut self.m,
-                &mut self.sdb,
-                &mut self.logs,
-                &mut self.plt,
-                self.cfg.protocol.lbm_mode(),
-                &mut self.gsn,
-            );
+            let mut ctx = recovery_tree_ctx!(self);
             let (st, pages) = tree.recover_structure(&mut ctx, recovery_node)?;
             outcome.btree_recovery = st;
             reinstalled_pages.extend(pages);
         }
         // Persist the stale-reinstall knowledge *before* the next crash
         // window: if this restart is interrupted from here on, the next
-        // attempt must still treat these lines/pages as stale images.
-        self.stale_heap_lines.extend(heap_reinstalled.iter().copied());
+        // attempt must still treat these pages as stale images.
         self.stale_tree_pages.extend(reinstalled_pages.iter().copied());
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
@@ -1500,29 +1533,21 @@ impl SmDb {
         // Phase 3 ("cache_discard", Redo All only): discard every cached
         // database line on every survivor — implicitly undoing migrated
         // uncommitted updates of crashed transactions — and reload the
-        // index wholesale.
+        // index wholesale. A pure cache drop (no disk reads: the
+        // reinstall cost lands on whoever faults the page back in), and
+        // *required* even where the plan rewrites the record — a migrated
+        // uncommitted update of a doomed transaction whose record's last
+        // committed update predates the checkpoint bound has no redo
+        // candidate, hence no plan entry, and only the discard removes
+        // its stale bytes from survivor caches.
         let span = self.begin_phase("cache_discard");
         if scheme == RestartScheme::RedoAll {
-            // The discard runs under instant restart too: it is a pure
-            // cache drop (no disk reads — the reinstall cost lands lazily
-            // on whoever faults the page back in), and it is *required* —
-            // a migrated uncommitted update of a doomed transaction whose
-            // record's last committed update predates the checkpoint
-            // bound has no redo candidate, hence no plan entry, and only
-            // the discard removes its stale bytes from survivor caches.
             let heap_limit = self.heap_pages as u64 * self.cfg.lines_per_page as u64;
             for node in self.m.surviving_nodes() {
                 self.m.discard_matching(node, |l| l.0 < heap_limit);
             }
             if let Some(tree) = self.tree.as_mut() {
-                let mut ctx = TreeCtx::new(
-                    &mut self.m,
-                    &mut self.sdb,
-                    &mut self.logs,
-                    &mut self.plt,
-                    self.cfg.protocol.lbm_mode(),
-                    &mut self.gsn,
-                );
+                let mut ctx = recovery_tree_ctx!(self);
                 tree.discard_and_reload_all(&mut ctx, recovery_node)?;
                 reinstalled_pages.extend(tree.allocated_pages());
                 self.stale_tree_pages.extend(reinstalled_pages.iter().copied());
@@ -1533,36 +1558,23 @@ impl SmDb {
 
         // Phase 4 ("redo"): candidates were gathered by the analysis scan
         // (survivors' full logs + crashed nodes' committed stable records
-        // past the checkpoint bound). The *plan* step partitions the heap
-        // candidates by cache line and reduces each partition — on scoped
-        // worker threads for large batches — to the final image per
-        // record; the merged GSN-ordered plan is then applied
-        // sequentially, so every machine-state mutation stays
-        // deterministic. The cached-skip decisions are snapshotted
-        // *before* any reinstall so a line we reinstalled from a stale
-        // stable image is never mistaken for a coherent surviving copy.
+        // past the checkpoint bound). The heap candidates are reduced to
+        // the final image per record and join the plan in GSN order —
+        // except for records the undo phase targets (stable-logged
+        // uncommitted updates of down nodes, and doomed updates on
+        // surviving logs): undo follows redo and wins, so phase 5 plans
+        // the undo's bytes as the record's single entry instead. The
+        // Selective-Redo cached-skip decisions use the probe snapshotted
+        // before any reinstall. Index redo is applied here, in GSN order
+        // (logical B-tree ops don't commute).
         let span = self.begin_phase("redo");
         let replay_index = tree_lost_any || scheme == RestartScheme::RedoAll;
-        // Instant restart: heap redo entries are *deferred* past the open
-        // point — except for records the undo phase targets (stable-logged
-        // uncommitted updates of down nodes, and doomed ops on surviving
-        // logs). In eager order undo runs after redo and wins, so for
-        // those records the redo entry is dropped here and phase 5 pushes
-        // the undo's last-committed bytes as the record's single deferred
-        // entry instead.
-        let undo_writes: BTreeSet<RecId> = if instant {
-            analysis
-                .uncommitted_updates
-                .iter()
-                .map(|(_, _, r)| *r)
-                .chain(analysis.doomed_ops.iter().filter_map(|(_, op)| match op {
-                    DoomedOp::Rec { rec, .. } => Some(*rec),
-                    _ => None,
-                }))
-                .collect()
-        } else {
-            BTreeSet::new()
-        };
+        let undo_writes: BTreeSet<RecId> = analysis
+            .uncommitted_recs
+            .iter()
+            .copied()
+            .chain(analysis.doomed_recs.iter().map(|(_, r, _)| *r))
+            .collect();
         let raw_heap = std::mem::take(&mut analysis.heap_redo);
         let raw_index = std::mem::take(&mut analysis.index_redo);
         self.m
@@ -1571,262 +1583,104 @@ impl SmDb {
             .observe(names::RECOVERY_REDO_BATCH, (raw_heap.len() + raw_index.len()) as u64);
         let (heap_plan, superseded) = plan_heap_redo(raw_heap);
         outcome.redo_superseded += superseded;
-        let mut plan: Vec<(u64, PlannedOp)> =
-            heap_plan.into_iter().map(|h| (h.gsn, PlannedOp::Rec(h))).collect();
-        plan.extend(raw_index.into_iter().map(|(gsn, ix)| (gsn, PlannedOp::Ix(ix))));
-        plan.sort_by_key(|(gsn, _)| *gsn);
-        for (_gsn, op) in plan {
-            if !replay_index && matches!(op, PlannedOp::Ix(_)) {
+        for HeapRedo { rec, line, txn, image, .. } in heap_plan {
+            if scheme == RestartScheme::Selective && cached_before.contains(&line) {
+                outcome.redo_skipped_cached += 1;
                 continue;
             }
-            match op {
-                PlannedOp::Rec(HeapRedo { rec, line, txn, image, .. }) => {
-                    if scheme == RestartScheme::Selective && cached_before.contains(&line) {
-                        outcome.redo_skipped_cached += 1;
-                        continue;
-                    }
-                    if instant {
-                        // Defer: the final bytes are computed *now* (the
-                        // tag decision reads transaction statuses, which
-                        // phase 7 flips) and applied on first access or by
-                        // the background drain.
-                        if !undo_writes.contains(&rec) {
-                            let bytes = self.expected_rec_bytes(txn, &image);
-                            self.instant.push(rec, line, bytes);
-                        }
-                        continue;
-                    }
-                    let expected = self.expected_rec_bytes(txn, &image);
-                    let off = self.layout.page_offset(rec.slot);
-                    if !self.m.probe_cached(line) {
-                        // Page not resident: is the stable image already
-                        // current for this record?
-                        let img = self
-                            .sdb
-                            .peek_page(rec.page)
-                            .ok_or(DbError::StablePageMissing { page: rec.page })?;
-                        if img[off..off + expected.len()] == expected[..] {
-                            outcome.redo_skipped_stable += 1;
-                            continue;
-                        }
-                        // The write below faults the whole page in from
-                        // stable: every line of it is a stale reinstall.
-                        let g = self.layout.geometry;
-                        for idx in 0..g.lines_per_page {
-                            let line = LineId(g.line_addr(rec.page, idx));
-                            heap_reinstalled.insert(line);
-                            self.stale_heap_lines.insert(line);
-                        }
-                    }
-                    // §4.1.2: "each surviving node performs redo for ...
-                    // record updates which were made by the local node" —
-                    // the replaying actor (and the one charged) is the
-                    // update's own node when it survived.
-                    let actor =
-                        if self.m.is_crashed(txn.node()) { recovery_node } else { txn.node() };
-                    let mut ctx = engine_ctx!(self);
-                    ctx.write(actor, rec.page, off, &expected)?;
-                    drop(ctx);
-                    // The crash cleared the crashed node's WAL-table
-                    // entries (§6: "will be reinitialized on the crashed
-                    // node"), and `ctx.write` does not restore them — so
-                    // without an explicit mark the redone page would look
-                    // clean to the next checkpoint, which would advance
-                    // the redo bound *without flushing it*, and a second
-                    // crash would lose the committed data. The redo
-                    // source record is already stable, so a zero-LSN
-                    // entry (dirty, no force requirement) is exactly
-                    // right. (Found by the schedule fuzzer.)
-                    self.plt.note_update(rec.page, actor, Lsn::ZERO);
-                    outcome.redo_applied += 1;
-                }
-                PlannedOp::Ix(IxRedo::Insert { key, value, txn }) => {
-                    let tag = if self.cfg.protocol.uses_undo_tags()
-                        && self
-                            .txns
-                            .get(&txn)
-                            .map(|t| t.is_active() && !crashed_set.contains(&txn.node()))
-                            .unwrap_or(false)
-                    {
-                        txn.node().0
-                    } else {
-                        smdb_btree::NULL_TAG
-                    };
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    if tree.redo_insert(&mut ctx, recovery_node, key, value, tag)? {
-                        outcome.index_redo_applied += 1;
-                    }
-                }
-                PlannedOp::Ix(IxRedo::Delete { key, value, txn }) => {
-                    let tag = if self.cfg.protocol.uses_undo_tags()
-                        && self
-                            .txns
-                            .get(&txn)
-                            .map(|t| t.is_active() && !crashed_set.contains(&txn.node()))
-                            .unwrap_or(false)
-                    {
-                        txn.node().0
-                    } else {
-                        smdb_btree::NULL_TAG
-                    };
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    if tree.redo_delete_mark(&mut ctx, recovery_node, key, value, tag)? {
-                        outcome.index_redo_applied += 1;
-                    }
-                }
-                PlannedOp::Ix(IxRedo::Remove { key }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    tree.undo_insert(&mut ctx, recovery_node, key)?;
-                }
-                PlannedOp::Ix(IxRedo::Unmark { key }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    tree.undo_delete(&mut ctx, recovery_node, key)?;
+            if undo_writes.contains(&rec) {
+                continue;
+            }
+            // The final bytes are computed *now*: the tag decision reads
+            // transaction statuses, which phase 7 flips. §4.1.2: "each
+            // surviving node performs redo for ... record updates which
+            // were made by the local node" — the update's own node writes
+            // (and is charged) when it survived.
+            let bytes = self.layout.encode(self.redo_tag(txn), &image);
+            let actor = if self.m.is_crashed(txn.node()) { recovery_node } else { txn.node() };
+            self.plan.push(rec, line, bytes, actor);
+        }
+        if replay_index {
+            for (_gsn, op) in raw_index {
+                if self.redo_index_op(op, recovery_node, true)? {
+                    outcome.index_redo_applied += 1;
                 }
             }
         }
-
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
 
-        // Phase 5 ("undo"): first roll back doomed transactions' effects
-        // recorded on *surviving* nodes — a parallel transaction with a
-        // crashed participant leaves intact log records (with undo images)
-        // on its surviving participants (§9: the entire transaction must
-        // be aborted); the analysis scan already collected them — then the
-        // protocol-specific undo pass.
+        // Phase 5 ("undo"): heap undo joins the plan as final images,
+        // computed *now* — the before images are handles into retained log
+        // records, and the last-committed derivation needs this analysis.
+        // Doomed transactions' effects on *surviving* logs come first — a
+        // parallel transaction with a crashed participant leaves intact
+        // log records (with undo images) on its surviving participants
+        // (§9: the entire transaction must be aborted). Per record the
+        // lowest-GSN before image wins, as a reverse-GSN rollback would
+        // leave it; the protocol undo of stable-logged uncommitted updates
+        // follows, so its last-committed values override. Stolen doomed
+        // images are patched in the stable database too. Index undo and
+        // the Selective-Redo tag scan run eagerly.
         let span = self.begin_phase("undo");
-        let doomed_ops = std::mem::take(&mut analysis.doomed_ops);
-        if instant {
-            // Heap undo joins the deferred plan. The final bytes per
-            // record are computed *now* — the before images are handles
-            // into retained log records, and the last-committed derivation
-            // needs this analysis — and applied on first access or by the
-            // background drain, exactly like deferred redo. Reverse-GSN
-            // application means the lowest-GSN before image is the one
-            // that sticks; the protocol undo (stable-log or tag driven)
-            // runs after the doomed rollback in the eager order, so its
-            // last-committed values override. Index undo is never
-            // deferred.
-            let mut rec_ops = doomed_ops;
-            rec_ops.sort_by_key(|(gsn, _)| *gsn);
-            let mut index_ops: Vec<(u64, DoomedOp)> = Vec::new();
-            let mut undo_final: BTreeMap<RecId, Vec<u8>> = BTreeMap::new();
-            for (gsn, op) in rec_ops {
-                match op {
-                    DoomedOp::Rec { rec, before } => {
-                        if let std::collections::btree_map::Entry::Vacant(e) = undo_final.entry(rec)
-                        {
-                            let value: Vec<u8> = if contaminated.contains(&rec) {
-                                self.last_committed_payload(&analysis, rec)?
-                            } else {
-                                before.to_vec()
-                            };
-                            e.insert(self.layout.encode(NULL_TAG, &value));
-                        }
-                    }
-                    other => index_ops.push((gsn, other)),
-                }
+        let mut doomed_recs = std::mem::take(&mut analysis.doomed_recs);
+        doomed_recs.sort_by_key(|(gsn, _, _)| *gsn);
+        let mut undo_final: BTreeMap<RecId, Vec<u8>> = BTreeMap::new();
+        for (_gsn, rec, before) in doomed_recs {
+            if let std::collections::btree_map::Entry::Vacant(e) = undo_final.entry(rec) {
+                // A doomed dependent that reached this record through a
+                // violated lock name (early lock release) logged a
+                // contaminated before image — possibly the doomed
+                // predecessor's own uncommitted value. Restore the last
+                // committed payload instead. All other doomed updates keep
+                // the logged before image (for parallel transactions on
+                // non-analysed survivors it is the only undo source).
+                let value: Vec<u8> = if contaminated.contains(&rec) {
+                    self.last_committed_payload(&analysis, rec)?
+                } else {
+                    before.to_vec()
+                };
+                e.insert(self.layout.encode(NULL_TAG, &value));
             }
-            let uncommitted: BTreeSet<RecId> =
-                analysis.uncommitted_updates.iter().map(|(_, _, r)| *r).collect();
-            for rec in uncommitted {
-                let value = self.last_committed_payload(&analysis, rec)?;
-                undo_final.insert(rec, self.layout.encode(NULL_TAG, &value));
+        }
+        for (&rec, bytes) in &undo_final {
+            self.patch_stable_image(rec, bytes, outcome)?;
+        }
+        for &rec in &analysis.uncommitted_recs {
+            let value = self.last_committed_payload(&analysis, rec)?;
+            undo_final.insert(rec, self.layout.encode(NULL_TAG, &value));
+        }
+        let undo_start = self.plan.entries.len();
+        for (rec, bytes) in undo_final {
+            let line = self.rec_line(rec);
+            self.plan.push(rec, line, bytes, recovery_node);
+        }
+        let doomed_index = std::mem::take(&mut analysis.doomed_index);
+        self.undo_index_ops(outcome, recovery_node, doomed_index)?;
+        match self.cfg.protocol {
+            ProtocolKind::VolatileSelectiveRedo => {
+                // The tag scan skips records a plan entry covers: the
+                // entry's apply writes their final bytes.
+                self.undo_by_tags(
+                    outcome,
+                    recovery_node,
+                    &crashed_set,
+                    &analysis,
+                    &heap_reinstalled,
+                    &reinstalled_pages,
+                )?;
             }
-            for (rec, bytes) in undo_final {
-                let line = self.rec_line(rec);
-                self.instant.push(rec, line, bytes);
+            ProtocolKind::VolatileRedoAll
+            | ProtocolKind::StableEager
+            | ProtocolKind::StableTriggered => {
+                // Heap undo is fully planned (every stable-logged
+                // uncommitted update has an entry; Redo All's purge
+                // removed migrated ones); only index effects of
+                // uncommitted crashed transactions need eager undo.
+                let ops = std::mem::take(&mut analysis.uncommitted_index);
+                self.undo_index_ops(outcome, recovery_node, ops)?;
             }
-            self.undo_doomed_ops(outcome, recovery_node, index_ops, &analysis, contaminated)?;
-            match self.cfg.protocol {
-                ProtocolKind::VolatileSelectiveRedo => {
-                    // The tag scan still runs (cheap — the only candidates
-                    // without plan entries are stale committed tags), but
-                    // records a deferred entry covers are skipped: the
-                    // entry's apply writes their final bytes.
-                    self.undo_by_tags(
-                        outcome,
-                        recovery_node,
-                        &crashed_set,
-                        &analysis,
-                        &heap_reinstalled,
-                        &reinstalled_pages,
-                    )?;
-                }
-                ProtocolKind::VolatileRedoAll
-                | ProtocolKind::StableEager
-                | ProtocolKind::StableTriggered => {
-                    // Heap undo is fully deferred (every stable-logged
-                    // uncommitted update has a plan entry); only index
-                    // effects of uncommitted crashed transactions need
-                    // eager undo.
-                    self.undo_index_from_stable(outcome, recovery_node, &analysis)?;
-                }
-                ProtocolKind::FaOnly => unreachable!("handled by full_restart"),
-            }
-        } else {
-            self.undo_doomed_ops(outcome, recovery_node, doomed_ops, &analysis, contaminated)?;
-            match self.cfg.protocol {
-                ProtocolKind::VolatileSelectiveRedo => {
-                    self.undo_by_tags(
-                        outcome,
-                        recovery_node,
-                        &crashed_set,
-                        &analysis,
-                        &heap_reinstalled,
-                        &reinstalled_pages,
-                    )?;
-                }
-                ProtocolKind::VolatileRedoAll => {
-                    // The cache purge already removed migrated uncommitted
-                    // data; stolen data was patched in phase 1. Index
-                    // entries of uncommitted crashed transactions that had
-                    // been flushed (steal / structural flush) and reloaded
-                    // still need undo from the crashed stable logs.
-                    self.undo_index_from_stable(outcome, recovery_node, &analysis)?;
-                }
-                ProtocolKind::StableEager | ProtocolKind::StableTriggered => {
-                    // Stable LBM: every migrated uncommitted update has
-                    // stable undo information; apply it to any surviving
-                    // cached copies (stable images were patched in phase
-                    // 1).
-                    self.undo_from_stable_logs(outcome, recovery_node, &analysis)?;
-                    self.undo_index_from_stable(outcome, recovery_node, &analysis)?;
-                }
-                ProtocolKind::FaOnly => unreachable!("handled by full_restart"),
-            }
+            ProtocolKind::FaOnly => unreachable!("handled by full_restart"),
         }
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
@@ -1858,6 +1712,17 @@ impl SmDb {
         }
         self.end_phase(span, outcome);
         self.phase_crash_point(recovery_node)?;
+
+        // Drain while the doomed transactions are still active: a crash
+        // mid-drain then re-derives their undo on the next attempt (once
+        // phase 7 settles them as aborted, analysis no longer would). So
+        // the undo entries always retire here, first; instant restart
+        // leaves the redo entries, and the lost lines, pending at the open.
+        let planned = self.plan.entries.len();
+        self.drain_plan(outcome, recovery_node, undo_start..planned)?;
+        if !self.cfg.instant_restart {
+            self.drain_plan(outcome, recovery_node, 0..undo_start)?;
+        }
 
         // Phase 7 ("txn_table"): transaction table + shadow bookkeeping.
         let span = self.begin_phase("txn_table");
@@ -1923,14 +1788,21 @@ impl SmDb {
             }
         }
         for (line, rec, tag) in candidates {
-            if self.instant_covers(rec) {
-                // Instant restart: a deferred entry holds this record's
-                // final bytes; applying it (on access or drain) overwrites
-                // tag and payload both.
+            if self.plan_covers(rec) {
+                // A plan entry holds this record's final bytes; its apply
+                // overwrites tag and payload both.
                 continue;
             }
             let committed =
                 heap_reinstalled.contains(&line) && analysis.is_committed_rec(NodeId(tag), rec);
+            // The write updates the page-LSN header, which the crash may
+            // have destroyed: install the page's deferred-lost lines first.
+            let g = self.layout.geometry;
+            if (0..g.lines_per_page)
+                .any(|idx| self.plan.lost_lines.contains(&LineId(g.line_addr(rec.page, idx))))
+            {
+                self.install_deferred_lost(recovery_node, rec.page)?;
+            }
             let off = self.layout.page_offset(rec.slot);
             if committed {
                 // Stale tag on a committed value: scrub the tag only.
@@ -1947,14 +1819,7 @@ impl SmDb {
         }
         // Index scan (the tree's own tag walk).
         if let Some(tree) = self.tree.as_mut() {
-            let mut ctx = TreeCtx::new(
-                &mut self.m,
-                &mut self.sdb,
-                &mut self.logs,
-                &mut self.plt,
-                self.cfg.protocol.lbm_mode(),
-                &mut self.gsn,
-            );
+            let mut ctx = recovery_tree_ctx!(self);
             let st =
                 tree.undo_by_tags(&mut ctx, recovery_node, crashed, tree_reinstalled, |n, k| {
                     analysis.is_committed_key(n, k)
@@ -1968,142 +1833,27 @@ impl SmDb {
         Ok(())
     }
 
-    /// Stable-LBM undo: install last committed values over any surviving
-    /// cached copies of records with durable uncommitted updates from
-    /// crashed nodes.
-    fn undo_from_stable_logs(
+    /// Roll back index ops in reverse GSN order — the doomed transactions'
+    /// ops on surviving logs, or the stable-logged ops of uncommitted
+    /// crashed transactions (wherever tags are not the undo vehicle).
+    fn undo_index_ops(
         &mut self,
         outcome: &mut RecoveryOutcome,
         recovery_node: NodeId,
-        analysis: &StableAnalysis,
+        mut ops: Vec<IndexUndo>,
     ) -> Result<(), DbError> {
-        let recs: BTreeSet<RecId> =
-            analysis.uncommitted_updates.iter().map(|(_, _, r)| *r).collect();
-        for rec in recs {
-            let line = self.rec_line(rec);
-            if !self.m.probe_cached(line) {
-                continue; // nothing cached; stable image already patched
-            }
-            let value = self.last_committed_payload(analysis, rec)?;
-            let bytes = self.layout.encode(NULL_TAG, &value);
-            let off = self.layout.page_offset(rec.slot);
-            let mut ctx = engine_ctx!(self);
-            ctx.write(recovery_node, rec.page, off, &bytes)?;
-            outcome.undo_records_applied += 1;
-        }
-        Ok(())
-    }
-
-    /// Undo index effects of uncommitted crashed transactions recorded in
-    /// their stable logs (needed wherever tags are not the undo vehicle).
-    fn undo_index_from_stable(
-        &mut self,
-        outcome: &mut RecoveryOutcome,
-        recovery_node: NodeId,
-        analysis: &StableAnalysis,
-    ) -> Result<(), DbError> {
-        if self.tree.is_none() {
+        let Some(tree) = self.tree.as_mut() else {
             return Ok(());
-        }
-        let mut ops = analysis.uncommitted_index.clone();
-        ops.sort_by_key(|(gsn, _, _, _)| std::cmp::Reverse(*gsn));
-        for (_, _, key, is_delete) in ops {
-            let tree = req(self.tree.as_mut(), "index undo implies an index")?;
-            let mut ctx = TreeCtx::new(
-                &mut self.m,
-                &mut self.sdb,
-                &mut self.logs,
-                &mut self.plt,
-                self.cfg.protocol.lbm_mode(),
-                &mut self.gsn,
-            );
+        };
+        ops.sort_by_key(|(gsn, _, _)| std::cmp::Reverse(*gsn));
+        let mut ctx = recovery_tree_ctx!(self);
+        for (_gsn, key, is_delete) in ops {
             if is_delete {
                 tree.undo_delete(&mut ctx, recovery_node, key)?;
             } else {
                 tree.undo_insert(&mut ctx, recovery_node, key)?;
             }
             outcome.undo_records_applied += 1;
-        }
-        Ok(())
-    }
-
-    /// Roll back every effect a doomed transaction recorded on a
-    /// surviving node's intact log (undo images for records, logical
-    /// inverses for index ops), in reverse GSN order. The ops were
-    /// collected by the single analysis scan; the before images are
-    /// refcounted handles into the log records.
-    fn undo_doomed_ops(
-        &mut self,
-        outcome: &mut RecoveryOutcome,
-        recovery_node: NodeId,
-        mut ops: Vec<(u64, DoomedOp)>,
-        analysis: &StableAnalysis,
-        contaminated: &BTreeSet<RecId>,
-    ) -> Result<(), DbError> {
-        ops.sort_by_key(|(gsn, _)| std::cmp::Reverse(*gsn));
-        for (_gsn, op) in ops {
-            match op {
-                DoomedOp::Rec { rec, before } => {
-                    // A doomed dependent that reached this record through
-                    // a violated lock name (early lock release) logged a
-                    // contaminated before image — possibly the doomed
-                    // predecessor's own uncommitted value. Restore the
-                    // last committed payload instead. All other doomed
-                    // ops keep the logged before image (for parallel
-                    // transactions on non-analysed survivors it is the
-                    // only undo source).
-                    let value: Vec<u8> = if contaminated.contains(&rec) {
-                        self.last_committed_payload(analysis, rec)?
-                    } else {
-                        before.to_vec()
-                    };
-                    let bytes = self.layout.encode(NULL_TAG, &value);
-                    let off = self.layout.page_offset(rec.slot);
-                    // Undo in the coherent store and in the stable image
-                    // (the update may have been stolen; WAL forced its
-                    // undo record, but surviving logs give us the image
-                    // directly).
-                    let mut ctx = engine_ctx!(self);
-                    ctx.write(recovery_node, rec.page, off, &bytes)?;
-                    let img = self
-                        .sdb
-                        .peek_page(rec.page)
-                        .ok_or(DbError::StablePageMissing { page: rec.page })?;
-                    if img[off..off + bytes.len()] != bytes[..] {
-                        self.sdb.patch(rec.page, off, &bytes);
-                        outcome.stable_undo_patches += 1;
-                    }
-                    outcome.undo_records_applied += 1;
-                }
-                DoomedOp::RemoveKey(key) => {
-                    if let Some(tree) = self.tree.as_mut() {
-                        let mut ctx = TreeCtx::new(
-                            &mut self.m,
-                            &mut self.sdb,
-                            &mut self.logs,
-                            &mut self.plt,
-                            self.cfg.protocol.lbm_mode(),
-                            &mut self.gsn,
-                        );
-                        tree.undo_insert(&mut ctx, recovery_node, key)?;
-                        outcome.undo_records_applied += 1;
-                    }
-                }
-                DoomedOp::UnmarkKey(key) => {
-                    if let Some(tree) = self.tree.as_mut() {
-                        let mut ctx = TreeCtx::new(
-                            &mut self.m,
-                            &mut self.sdb,
-                            &mut self.logs,
-                            &mut self.plt,
-                            self.cfg.protocol.lbm_mode(),
-                            &mut self.gsn,
-                        );
-                        tree.undo_delete(&mut ctx, recovery_node, key)?;
-                        outcome.undo_records_applied += 1;
-                    }
-                }
-            }
         }
         Ok(())
     }
@@ -2142,21 +1892,14 @@ impl SmDb {
         }
         // Rebuild the index structure + contents.
         if let Some(tree) = self.tree.as_mut() {
-            let mut ctx = TreeCtx::new(
-                &mut self.m,
-                &mut self.sdb,
-                &mut self.logs,
-                &mut self.plt,
-                self.cfg.protocol.lbm_mode(),
-                &mut self.gsn,
-            );
+            let mut ctx = recovery_tree_ctx!(self);
             let (st, _) = tree.recover_structure(&mut ctx, recovery_node)?;
             outcome.btree_recovery = st;
             tree.discard_and_reload_all(&mut ctx, recovery_node)?;
         }
         // Redo committed work from stable logs (everyone's commit records
         // were forced): the analysis already collected the candidates past
-        // the checkpoint bound; plan (partition + reduce), then apply
+        // the checkpoint bound; plan (reduce per record), then apply
         // sequentially in GSN order.
         let raw_heap = std::mem::take(&mut analysis.heap_redo);
         let raw_index = std::mem::take(&mut analysis.index_redo);
@@ -2189,74 +1932,16 @@ impl SmDb {
                     ctx.write(recovery_node, rec.page, off, &expected)?;
                     outcome.redo_applied += 1;
                 }
-                PlannedOp::Ix(IxRedo::Insert { key, value, .. }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    if tree.redo_insert(
-                        &mut ctx,
-                        recovery_node,
-                        key,
-                        value,
-                        smdb_btree::NULL_TAG,
-                    )? {
+                PlannedOp::Ix(op) => {
+                    if self.redo_index_op(op, recovery_node, false)? {
                         outcome.index_redo_applied += 1;
                     }
-                }
-                PlannedOp::Ix(IxRedo::Delete { key, value, .. }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    if tree.redo_delete_mark(
-                        &mut ctx,
-                        recovery_node,
-                        key,
-                        value,
-                        smdb_btree::NULL_TAG,
-                    )? {
-                        outcome.index_redo_applied += 1;
-                    }
-                }
-                PlannedOp::Ix(IxRedo::Remove { key }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    tree.undo_insert(&mut ctx, recovery_node, key)?;
-                }
-                PlannedOp::Ix(IxRedo::Unmark { key }) => {
-                    let tree = req(self.tree.as_mut(), "index op implies an index")?;
-                    let mut ctx = TreeCtx::new(
-                        &mut self.m,
-                        &mut self.sdb,
-                        &mut self.logs,
-                        &mut self.plt,
-                        self.cfg.protocol.lbm_mode(),
-                        &mut self.gsn,
-                    );
-                    tree.undo_delete(&mut ctx, recovery_node, key)?;
                 }
             }
         }
         // Undo of uncommitted index entries that had been flushed.
-        self.undo_index_from_stable(outcome, recovery_node, &analysis)?;
+        let ops = std::mem::take(&mut analysis.uncommitted_index);
+        self.undo_index_ops(outcome, recovery_node, ops)?;
         // Crash point: the rebuild host dies mid full-restart (data redone,
         // lock space and transaction table not yet reset).
         self.phase_crash_point(recovery_node)?;

@@ -6,7 +6,8 @@
 //! and the safety interlocks (checkpoint drain, oracle gate, total
 //! failure) hold.
 
-use smdb_core::{DbConfig, DbError, ProtocolKind, SmDb};
+use smdb_core::fault::{CrashPoint, FaultInjector, FaultPlan};
+use smdb_core::{DbConfig, DbError, ProtocolKind, SmDb, FAULT_REDO_BACKGROUND};
 use smdb_sim::NodeId;
 
 const N0: NodeId = NodeId(0);
@@ -34,6 +35,37 @@ fn seed_history(db: &mut SmDb) {
     db.commit(t).unwrap();
 }
 
+/// An in-flight N0 transaction whose update of slot 30 was stolen into
+/// the stable database: recovering N0 must undo it in place.
+fn seed_stolen_doomed_update(db: &mut SmDb) {
+    let t = db.begin(N0).unwrap();
+    db.update(t, 30, b"doomed-stolen").unwrap();
+    let page = db.record_layout().rec_of_global(30).page;
+    db.flush_page(N0, page).unwrap();
+}
+
+/// A stolen doomed update (slot 30) plus one whose line a browser on N2
+/// replicated (slot 40): the replica outlives N0's crash on a node that is
+/// not the recovery node.
+fn seed_doomed_updates(db: &mut SmDb) {
+    seed_stolen_doomed_update(db);
+    let t = db.begin(N0).unwrap();
+    db.update(t, 40, b"doomed-replicated").unwrap();
+    db.read_dirty(N2, 40).unwrap();
+}
+
+/// With no transaction active, every record must hold its committed value.
+fn assert_committed_state(db: &SmDb, ctx: &str) {
+    assert!(db.active_txns(None).is_empty(), "{ctx}: transactions still active");
+    for slot in 0..db.record_count() as u64 {
+        assert_eq!(
+            db.current_value(slot).unwrap(),
+            db.read_committed(slot).unwrap(),
+            "{ctx}: slot {slot} does not hold its committed value"
+        );
+    }
+}
+
 fn drain_all(db: &mut SmDb, node: NodeId) {
     while db.redo_pending() > 0 {
         db.drain_redo(node, 2).unwrap();
@@ -45,11 +77,15 @@ fn instant_recovery_defers_redo_then_drains_to_eager_state() {
     for p in ProtocolKind::ifa_protocols() {
         let mut eager = mk(p, false);
         let mut instant = mk(p, true);
-        seed_history(&mut eager);
-        seed_history(&mut instant);
+        for db in [&mut eager, &mut instant] {
+            seed_history(db);
+            seed_doomed_updates(db);
+        }
         eager.crash_and_recover(&[N0]).unwrap();
         instant.crash_and_recover(&[N0]).unwrap();
         assert_eq!(eager.redo_pending(), 0, "{p:?}: eager must not defer");
+        assert_eq!(eager.machine().unrecovered_count(), 0, "{p:?}: eager left a line marked");
+        assert_eq!(eager.instant_redo_counters(), Default::default(), "{p:?}");
         assert!(
             instant.redo_pending() > 0,
             "{p:?}: instant recovery should leave deferred heap redo"
@@ -284,4 +320,99 @@ fn instant_restart_reaches_first_txn_faster_than_eager() {
     drain_all(&mut instant, N1);
     eager.check_ifa(N1).assert_ok();
     instant.check_ifa(N1).assert_ok();
+}
+
+/// Without instant restart `recover` drains the plan before returning.
+/// Kill the recovery node partway through that drain, recover again from
+/// a fresh survivor, and the end state must still be IFA-consistent and
+/// committed — including the undo of the doomed updates whose plan
+/// entries the interrupted attempt never applied.
+#[test]
+fn crash_mid_in_recover_drain_recovers_again() {
+    for p in ProtocolKind::ifa_protocols() {
+        let run = |plan: Option<FaultPlan>| {
+            let mut db = mk(p, false);
+            seed_history(&mut db);
+            seed_doomed_updates(&mut db);
+            let f = FaultInjector::new();
+            db.set_fault_injector(f.clone());
+            db.crash(&[N0]);
+            match plan {
+                Some(plan) => f.arm(plan),
+                None => f.start_counting(),
+            }
+            let result = db.recover();
+            (db, f, result)
+        };
+        let (mut db, f, result) = run(None);
+        result.unwrap();
+        let drain_visits = f
+            .take_visits()
+            .iter()
+            .find(|v| v.site == FAULT_REDO_BACKGROUND)
+            .map_or(0, |v| v.nodes.len() as u64);
+        assert!(drain_visits >= 2, "{p:?}: the drain visited its crash point {drain_visits}x");
+        db.check_ifa(N1).assert_ok();
+        assert_committed_state(&db, &format!("{p:?}"));
+
+        // Undo entries retire first: die after the first one (slot 30's),
+        // before the replicated slot 40's under Stable LBM.
+        let plan = FaultPlan::single(CrashPoint::new(FAULT_REDO_BACKGROUND, 1));
+        let (mut db, f, result) = run(Some(plan));
+        let crash = *result.unwrap_err().fault_crash().expect("the drain crash point fired");
+        assert_eq!(f.fired().len(), 1, "{p:?}");
+        db.crash(&[NodeId(crash.node)]);
+        db.recover().unwrap();
+        assert_eq!(db.redo_pending(), 0, "{p:?}");
+        let survivor = db.machine().surviving_nodes()[0];
+        db.check_ifa(survivor).assert_ok();
+        assert_committed_state(&db, &format!("{p:?} after a mid-drain crash"));
+    }
+}
+
+/// A stolen update of a doomed transaction is undone in the stable image
+/// by recovery itself, under both restart modes: the undone copy first
+/// lives only in the recovery node's cache, and once the transaction is
+/// settled as aborted no later recovery re-derives its undo — so losing
+/// that node before any checkpoint must not resurrect the stolen value.
+#[test]
+fn stolen_update_stays_undone_across_a_second_crash() {
+    for p in ProtocolKind::ifa_protocols() {
+        for instant in [false, true] {
+            let mut db = mk(p, instant);
+            let t = db.begin(N0).unwrap();
+            db.update(t, 30, b"committed").unwrap();
+            db.commit(t).unwrap();
+            db.checkpoint(N0).unwrap();
+            seed_stolen_doomed_update(&mut db);
+            let first = db.crash_and_recover(&[N0]).unwrap();
+            assert!(first.stable_undo_patches > 0, "{p:?} instant={instant}");
+            drain_all(&mut db, first.recovery_node);
+            db.crash_and_recover(&[first.recovery_node]).unwrap();
+            let survivor = db.machine().surviving_nodes()[0];
+            drain_all(&mut db, survivor);
+            assert_eq!(&db.current_value(30).unwrap()[..9], b"committed", "{p:?} {instant}");
+            db.check_ifa(survivor).assert_ok();
+        }
+    }
+}
+
+/// Instant restart opens with the plan pending, after the doomed
+/// transactions are settled as aborted — from then on no recovery
+/// re-derives their undo. A doomed update whose line a survivor
+/// replicated must therefore be undone before the open: losing another
+/// node in the window must not leave the replica's uncommitted value.
+#[test]
+fn crash_in_instant_window_keeps_doomed_updates_undone() {
+    for p in ProtocolKind::ifa_protocols() {
+        let mut db = mk(p, true);
+        seed_history(&mut db);
+        seed_doomed_updates(&mut db);
+        db.crash_and_recover(&[N0]).unwrap();
+        assert!(db.redo_pending() > 0, "{p:?}: the window should be open");
+        db.crash_and_recover(&[N1]).unwrap();
+        drain_all(&mut db, N3);
+        db.check_ifa(N3).assert_ok();
+        assert_committed_state(&db, &format!("{p:?}"));
+    }
 }

@@ -19,6 +19,11 @@ echo "== tests (SMDB_THREADS=4) =="
 # assert the results stay byte-identical to the serial run.
 SMDB_THREADS=4 cargo test -q --workspace
 
+echo "== perfbench tests =="
+# The benchmark harness is its own workspace; its tests pin the output
+# schema and read the recovery phase table the engine reports.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== crash-point sweep (bounded) =="
 # Deterministic fault-injection sweep over all protocols (DESIGN §8);
 # release build keeps the bounded sweep fast. The checkpoint-machinery
